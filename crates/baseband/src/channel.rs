@@ -137,14 +137,28 @@ impl GilbertElliott {
             1.0 / self.p_bg
         }
     }
+
+    /// The BER of every slot spent in `state`.
+    pub fn state_ber(&self, state: ChannelState) -> f64 {
+        match state {
+            ChannelState::Good => self.ber_good,
+            ChannelState::Bad => self.ber_bad,
+        }
+    }
+
+    /// Per-slot probability of leaving `state` (`p_gb` from good,
+    /// `p_bg` from bad).
+    pub fn flip_probability(&self, state: ChannelState) -> f64 {
+        match state {
+            ChannelState::Good => self.p_gb,
+            ChannelState::Bad => self.p_bg,
+        }
+    }
 }
 
 impl ChannelModel for GilbertElliott {
     fn slot_ber(&mut self, _slot: u64, _ch: u8, rng: &mut SimRng) -> f64 {
-        let ber = match self.state {
-            ChannelState::Good => self.ber_good,
-            ChannelState::Bad => self.ber_bad,
-        };
+        let ber = self.state_ber(self.state);
         self.state = match self.state {
             ChannelState::Good if rng.chance(self.p_gb) => ChannelState::Bad,
             ChannelState::Bad if rng.chance(self.p_bg) => ChannelState::Good,
@@ -168,10 +182,7 @@ impl ChannelModel for GilbertElliott {
     fn advance_idle(&mut self, _start_slot: u64, n: u64, rng: &mut SimRng) {
         let mut left = n;
         while left > 0 {
-            let p_flip = match self.state {
-                ChannelState::Good => self.p_gb,
-                ChannelState::Bad => self.p_bg,
-            };
+            let p_flip = self.flip_probability(self.state);
             if p_flip <= 0.0 {
                 // Absorbing state: the per-slot walk never flips (and
                 // draws nothing either).

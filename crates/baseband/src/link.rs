@@ -19,12 +19,14 @@
 //!
 //! Because a full 18-month campaign cannot run at slot fidelity, the
 //! module also provides [`DropProfile`]: a per-payload drop/mismatch
-//! probability table *calibrated by running this very simulation* for a
-//! few hundred thousand payloads per packet type. The campaign layer
+//! probability table. Over a Gilbert–Elliott channel it is computed
+//! *exactly from this very simulation's per-attempt probabilities*
+//! ([`DropProfile::exact`]); [`DropProfile::calibrate`] estimates it by
+//! running the simulation and serves as the oracle. The campaign layer
 //! samples cycle outcomes from the profile; `repro_fig3a` demonstrates
 //! the two agree.
 
-use crate::channel::{ChannelModel, ChannelState};
+use crate::channel::{ChannelModel, ChannelState, GilbertElliott};
 use crate::crc;
 use crate::fec;
 use crate::hop::HopSequence;
@@ -170,6 +172,37 @@ impl TransferOutcome {
 /// Longest ACL packet in slots (DM5/DH5).
 const MAX_PACKET_SLOTS: usize = 5;
 
+/// Probability that an 18-bit repetition-coded header (or ACK) sent in
+/// a slot of bit-error rate `ber` decodes.
+fn p_header_ok(ber: f64) -> f64 {
+    let bit_err = fec::repetition_error_probability(ber);
+    (1.0 - bit_err).powi(HEADER_BITS as i32)
+}
+
+/// Probability that a full-size `pt` payload, its bits spread evenly
+/// over slots of bit-error rates `slot_bers`, decodes intact: per
+/// (15,10) Hamming codeword for `DMx`, per bit for `DHx`.
+fn p_payload_ok(pt: PacketType, slot_bers: &[f64]) -> f64 {
+    let bits_per_slot = pt.payload_bits_on_air() as f64 / slot_bers.len() as f64;
+    let mut p = 1.0;
+    for &ber in slot_bers {
+        if pt.fec_coded() {
+            let codewords = bits_per_slot / fec::CODE_BITS as f64;
+            p *= fec::hamming_block_success_probability(ber).powf(codewords);
+        } else {
+            p *= (1.0 - ber).powf(bits_per_slot);
+        }
+    }
+    p
+}
+
+/// Probability that a corrupted payload escapes the CRC. Burst state
+/// means long error runs (> 17 bits); good-state residual errors are
+/// short and always caught.
+fn p_crc_escape(saw_bad_state: bool) -> f64 {
+    crc::undetected_probability(if saw_bad_state { 64 } else { 8 })
+}
+
 /// An ACL link between a master and one slave.
 #[derive(Debug)]
 pub struct AclLink<C> {
@@ -207,6 +240,11 @@ impl<C: ChannelModel> AclLink<C> {
     /// Mutable access, e.g. to change packet type between cycles.
     pub fn config_mut(&mut self) -> &mut LinkConfig {
         &mut self.cfg
+    }
+
+    /// The channel model the link transmits over.
+    pub fn channel(&self) -> &C {
+        &self.channel
     }
 
     /// Absolute slot index the link has advanced to.
@@ -258,21 +296,8 @@ impl<C: ChannelModel> AclLink<C> {
         }
 
         // Header: first slot, repetition-coded, 18 bits.
-        let hdr_bit_err = fec::repetition_error_probability(slot_bers[0]);
-        let p_header_ok = (1.0 - hdr_bit_err).powi(HEADER_BITS as i32);
-
-        // Payload bits spread evenly over the packet's slots.
-        let payload_bits = pt.payload_bits_on_air();
-        let bits_per_slot = payload_bits as f64 / n_slots as f64;
-        let mut p_payload_ok = 1.0;
-        for &ber in slot_bers.iter() {
-            if pt.fec_coded() {
-                let codewords = bits_per_slot / fec::CODE_BITS as f64;
-                p_payload_ok *= fec::hamming_block_success_probability(ber).powf(codewords);
-            } else {
-                p_payload_ok *= (1.0 - ber).powf(bits_per_slot);
-            }
-        }
+        let p_header = p_header_ok(slot_bers[0]);
+        let p_payload = p_payload_ok(pt, slot_bers);
 
         // Return (ACK) slot.
         let ack_ch = self.hop.channel(self.slot_cursor + n_slots);
@@ -282,8 +307,7 @@ impl<C: ChannelModel> AclLink<C> {
         let ack_ber = self
             .channel
             .slot_ber(self.slot_cursor + n_slots, ack_ch, rng);
-        let ack_bit_err = fec::repetition_error_probability(ack_ber);
-        let p_ack_ok = (1.0 - ack_bit_err).powi(HEADER_BITS as i32);
+        let p_ack_ok = p_header_ok(ack_ber);
 
         // Waiting slots implied by slot share also advance the channel.
         let total = self.cfg.slots_per_attempt();
@@ -292,15 +316,11 @@ impl<C: ChannelModel> AclLink<C> {
             self.idle_slots(total - (n_slots + 1), rng);
         }
 
-        if !rng.chance(p_header_ok) {
+        if !rng.chance(p_header) {
             return AttemptResult::HeaderLost;
         }
-        if !rng.chance(p_payload_ok) {
-            // Corrupted payload: does it escape the CRC? Burst state
-            // means long error runs (> 17 bits); good-state residual
-            // errors are short and always caught.
-            let burst_bits = if saw_bad_state { 64 } else { 8 };
-            if rng.chance(crc::undetected_probability(burst_bits)) {
+        if !rng.chance(p_payload) {
+            if rng.chance(p_crc_escape(saw_bad_state)) {
                 return AttemptResult::UndetectedCorruption;
             }
             return AttemptResult::PayloadCorrupted;
@@ -420,9 +440,11 @@ impl<C: ChannelModel> AclLink<C> {
 
 /// Calibrated per-payload outcome probabilities for fast cycle sampling.
 ///
-/// Obtained by Monte-Carlo over the slot-fidelity link; the campaign
-/// layer then samples a cycle's transfer outcome as a geometric/binomial
-/// draw instead of simulating billions of slots.
+/// Computed exactly for a Gilbert–Elliott channel
+/// ([`DropProfile::exact`]) or estimated by Monte-Carlo over the
+/// slot-fidelity link ([`DropProfile::calibrate`]); the campaign layer
+/// then samples a cycle's transfer outcome as a geometric/binomial draw
+/// instead of simulating billions of slots.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DropProfile {
     /// Packet type the profile describes.
@@ -438,8 +460,10 @@ pub struct DropProfile {
 }
 
 impl DropProfile {
-    /// Calibrates a profile by pushing `n_payloads` through a
-    /// slot-fidelity link.
+    /// Estimates a profile by pushing `n_payloads` through a
+    /// slot-fidelity link: the Monte-Carlo oracle for
+    /// [`DropProfile::exact`], and the only calibration for channels
+    /// without a closed form.
     pub fn calibrate<C: ChannelModel>(
         cfg: LinkConfig,
         channel: C,
@@ -473,6 +497,142 @@ impl DropProfile {
             p_undetected: undetected as f64 / sent as f64,
             mean_attempts: attempts as f64 / sent as f64,
             mean_slots: slots as f64 / sent as f64,
+        }
+    }
+
+    /// The long-run profile of `cfg` over `channel`, computed exactly.
+    ///
+    /// [`AclLink::attempt`] draws the burst state once per slot and
+    /// holds the BER constant within it, so one attempt is a finite sum
+    /// over the ≤ 2⁶ state paths through its data slots and ACK slot;
+    /// each path's header, payload and CRC-escape probabilities are the
+    /// ones `attempt` computes. Per start state this gives 2×2 attempt
+    /// matrices (retry, deliver, deliver corrupt; indexed
+    /// `[start][end]`), idle slot-share slots advance the end state, and
+    /// folding `retry_limit` attempts yields the chain of burst states at
+    /// payload boundaries. Its stationary distribution weights the
+    /// per-start-state outcomes — the quantity [`DropProfile::calibrate`]
+    /// estimates, without the Monte-Carlo noise. The channel's current
+    /// state is irrelevant; the hop sequence never affects a
+    /// Gilbert–Elliott channel.
+    pub fn exact(cfg: LinkConfig, channel: &GilbertElliott) -> Self {
+        type M = [[f64; 2]; 2];
+        fn mul(a: &M, b: &M) -> M {
+            let mut c = [[0.0; 2]; 2];
+            for i in 0..2 {
+                for j in 0..2 {
+                    c[i][j] = a[i][0] * b[0][j] + a[i][1] * b[1][j];
+                }
+            }
+            c
+        }
+        fn add(a: &M, b: &M) -> M {
+            [
+                [a[0][0] + b[0][0], a[0][1] + b[0][1]],
+                [a[1][0] + b[1][0], a[1][1] + b[1][1]],
+            ]
+        }
+        fn row_sums(a: &M) -> [f64; 2] {
+            [a[0][0] + a[0][1], a[1][0] + a[1][1]]
+        }
+        const STATES: [ChannelState; 2] = [ChannelState::Good, ChannelState::Bad];
+        const IDENTITY: M = [[1.0, 0.0], [0.0, 1.0]];
+
+        let pt = cfg.packet_type;
+        let n = pt.slots() as usize;
+        debug_assert!(n <= MAX_PACKET_SLOTS);
+        let ber = STATES.map(|s| channel.state_ber(s));
+        let p_gb = channel.flip_probability(ChannelState::Good);
+        let p_bg = channel.flip_probability(ChannelState::Bad);
+        let step: M = [[1.0 - p_gb, p_gb], [p_bg, 1.0 - p_bg]];
+
+        // One attempt: states[0] is the start state, states[1..=n] the
+        // states of the remaining data slots and the ACK slot, and
+        // states[n + 1] the state after the ACK slot.
+        let mut retry: M = [[0.0; 2]; 2];
+        let mut deliver: M = [[0.0; 2]; 2];
+        let mut corrupt: M = [[0.0; 2]; 2];
+        let mut states = [0usize; MAX_PACKET_SLOTS + 2];
+        for start in 0..2 {
+            states[0] = start;
+            for path in 0..1usize << (n + 1) {
+                let mut p_path = 1.0;
+                for i in 1..=n + 1 {
+                    states[i] = (path >> (i - 1)) & 1;
+                    p_path *= step[states[i - 1]][states[i]];
+                }
+                if p_path == 0.0 {
+                    continue;
+                }
+                let mut slot_bers = [0.0f64; MAX_PACKET_SLOTS];
+                for (b, &s) in slot_bers.iter_mut().zip(&states[..n]) {
+                    *b = ber[s];
+                }
+                let saw_bad_state = states[..=n].contains(&1);
+                let p_header = p_header_ok(slot_bers[0]);
+                let p_payload = p_payload_ok(pt, &slot_bers[..n]);
+                let p_escape = p_crc_escape(saw_bad_state);
+                // The outcomes `send_payloads` retries on: header lost, or
+                // payload corrupted and caught by the CRC. A lost ACK still
+                // ends the payload delivered.
+                let p_corrupt = p_header * (1.0 - p_payload);
+                let end = states[n + 1];
+                retry[start][end] += p_path * ((1.0 - p_header) + p_corrupt * (1.0 - p_escape));
+                deliver[start][end] += p_path * p_header * p_payload;
+                corrupt[start][end] += p_path * p_corrupt * p_escape;
+            }
+        }
+
+        // Waiting slots implied by the slot share advance the end state.
+        let idle = cfg.slots_per_attempt() - (n as u64 + 1);
+        if idle > 0 {
+            let mut wait = IDENTITY;
+            for _ in 0..idle {
+                wait = mul(&wait, &step);
+            }
+            retry = mul(&retry, &wait);
+            deliver = mul(&deliver, &wait);
+            corrupt = mul(&corrupt, &wait);
+        }
+
+        // Fold the retries: the k-th attempt happens from the state
+        // distribution `retry^(k-1)` left after k − 1 failures.
+        let ends = add(&deliver, &corrupt);
+        let mut failed_k = IDENTITY;
+        let mut boundary: M = [[0.0; 2]; 2];
+        let mut corrupt_from = [0.0; 2];
+        let mut attempts_from = [0.0; 2];
+        for _ in 0..cfg.retry_limit {
+            let reached = row_sums(&failed_k);
+            let c = row_sums(&mul(&failed_k, &corrupt));
+            for s in 0..2 {
+                attempts_from[s] += reached[s];
+                corrupt_from[s] += c[s];
+            }
+            boundary = add(&boundary, &mul(&failed_k, &ends));
+            failed_k = mul(&failed_k, &retry);
+        }
+        let drop_from = row_sums(&failed_k);
+        boundary = add(&boundary, &failed_k);
+
+        // Stationary distribution of the payload-boundary chain; a
+        // chain that never changes state keeps the fresh channel's
+        // good start.
+        let flow = boundary[0][1] + boundary[1][0];
+        let pi_bad = if flow > 0.0 {
+            boundary[0][1] / flow
+        } else {
+            0.0
+        };
+        let pi = [1.0 - pi_bad, pi_bad];
+        let weigh = |v: [f64; 2]| pi[0] * v[0] + pi[1] * v[1];
+        let mean_attempts = weigh(attempts_from);
+        DropProfile {
+            packet_type: pt,
+            p_drop: weigh(drop_from),
+            p_undetected: weigh(corrupt_from),
+            mean_attempts,
+            mean_slots: mean_attempts * cfg.slots_per_attempt() as f64,
         }
     }
 
@@ -814,5 +974,42 @@ mod tests {
             (rate_f - rate_s).abs() < 0.02,
             "delivery-per-attempt diverged: fast {rate_f} vs reference {rate_s}"
         );
+    }
+
+    #[test]
+    fn exact_profile_without_bursts_is_a_geometric_flush() {
+        // A channel that never leaves the good state makes attempts
+        // i.i.d.: the payload is dropped iff all `retry_limit` attempts
+        // fail, and the CRC never lets a short error run through.
+        let ber = 2e-3;
+        for pt in PacketType::ALL {
+            let cfg = LinkConfig::new(pt).retry_limit(3);
+            let prof = DropProfile::exact(cfg, &GilbertElliott::new(0.0, 0.5, ber, 0.3));
+            let bers = vec![ber; pt.slots() as usize];
+            let fail = 1.0 - p_header_ok(ber) * p_payload_ok(pt, &bers);
+            let close = |a: f64, b: f64| (a - b).abs() <= 1e-12 * b.abs().max(1e-300);
+            assert!(close(prof.p_drop, fail.powi(3)), "{pt}: {prof:?}");
+            assert!(close(prof.mean_attempts, 1.0 + fail + fail * fail), "{pt}");
+            assert_eq!(prof.p_undetected, 0.0, "{pt}");
+            assert_eq!(
+                prof.mean_slots,
+                prof.mean_attempts * cfg.slots_per_attempt() as f64
+            );
+        }
+    }
+
+    #[test]
+    fn exact_profile_grows_with_burst_frequency_and_shrinks_with_retries() {
+        let ge = |p_gb: f64| GilbertElliott::new(p_gb, 0.08, 5e-6, 0.12);
+        for pt in PacketType::ALL {
+            let cfg = LinkConfig::new(pt).retry_limit(4);
+            let rare = DropProfile::exact(cfg, &ge(1e-3));
+            let often = DropProfile::exact(cfg, &ge(1e-2));
+            let patient = DropProfile::exact(cfg.retry_limit(8), &ge(1e-2));
+            assert!(0.0 < rare.p_drop && rare.p_drop < often.p_drop, "{pt}");
+            assert!(patient.p_drop < often.p_drop, "{pt}");
+            assert!(often.p_undetected > 0.0 && often.p_undetected < often.p_drop);
+            assert!(often.mean_attempts >= 1.0 && often.mean_attempts <= 4.0);
+        }
     }
 }

@@ -1,6 +1,7 @@
 //! Fast-path fidelity: the geometric sampling from a calibrated
 //! [`DropProfile`] must agree with direct slot-level simulation of the
-//! same channel — the bridge that lets campaigns skip 10^10 slots.
+//! same channel — the bridge that lets campaigns skip 10^10 slots — and
+//! the exact profile must agree with both Monte-Carlo estimates.
 
 use btpan_baseband::channel::GilbertElliott;
 use btpan_baseband::hop::HopSequence;
@@ -10,6 +11,92 @@ use btpan_sim::prelude::*;
 
 fn channel() -> GilbertElliott {
     GilbertElliott::new(1e-2, 0.08, 5e-6, 0.12)
+}
+
+/// Batches per confidence interval, and the two-sided 99 % Student-t
+/// quantile for their 39 degrees of freedom.
+const BATCHES: usize = 40;
+const T99_DF39: f64 = 2.7079;
+
+/// Mean and 99 % half-width of the batch means `xs`. Bursts correlate
+/// consecutive drops, so a binomial interval over single payloads
+/// would be too narrow; batch means of thousands of payloads each are
+/// close to independent.
+fn ci99(xs: &[f64]) -> (f64, f64) {
+    assert_eq!(xs.len(), BATCHES);
+    let n = xs.len() as f64;
+    let mean = xs.iter().sum::<f64>() / n;
+    let var = xs.iter().map(|x| (x - mean).powi(2)).sum::<f64>() / (n - 1.0);
+    (mean, T99_DF39 * (var / n).sqrt())
+}
+
+/// Drop fraction of the next `payloads` payloads on `link`, counted the
+/// way `DropProfile::calibrate` counts them.
+fn direct_drop_rate(link: &mut AclLink<GilbertElliott>, payloads: u64, rng: &mut SimRng) -> f64 {
+    let mut sent = 0u64;
+    let mut dropped = 0u64;
+    while sent < payloads {
+        let out = link.send_payloads(64.min(payloads - sent), rng);
+        sent += out.payloads_delivered;
+        if out.dropped_at.is_some() {
+            dropped += 1;
+            sent += 1;
+        }
+    }
+    dropped as f64 / sent as f64
+}
+
+#[test]
+fn exact_profile_inside_monte_carlo_ci() {
+    // Each batch is an independent 5 000-payload `calibrate` run, so
+    // the batch means are independent by construction.
+    for seed in 1..=3u64 {
+        for pt in PacketType::ALL {
+            let cfg = LinkConfig::new(pt).retry_limit(4);
+            let exact = DropProfile::exact(cfg, &channel());
+            let root = SimRng::seed_from(seed).fork_indexed("oracle", pt.index() as u64);
+            let batches: Vec<f64> = (0..BATCHES as u64)
+                .map(|b| {
+                    let mut rng = root.fork_indexed("batch", b);
+                    let hop = HopSequence::new(seed * 1_000 + b);
+                    DropProfile::calibrate(cfg, channel(), hop, 5_000, &mut rng).p_drop
+                })
+                .collect();
+            let (mean, half) = ci99(&batches);
+            assert!(
+                (exact.p_drop - mean).abs() <= half,
+                "seed {seed} {pt}: exact {} outside Monte-Carlo {mean} ± {half}",
+                exact.p_drop
+            );
+        }
+    }
+}
+
+#[test]
+fn exact_profile_matches_long_direct_run() {
+    // One continuous link per configuration, cut into consecutive
+    // 10 000-payload batches; a slot-share case checks the idle-slot
+    // folding too.
+    let configs = PacketType::ALL
+        .map(|pt| LinkConfig::new(pt).retry_limit(4))
+        .into_iter()
+        .chain([LinkConfig::new(PacketType::Dh3)
+            .retry_limit(4)
+            .slot_share(0.5)]);
+    for (i, cfg) in configs.enumerate() {
+        let exact = DropProfile::exact(cfg, &channel());
+        let mut link = AclLink::new(cfg, channel(), HopSequence::new(77));
+        let mut rng = SimRng::seed_from(0xD1CE).fork_indexed("direct", i as u64);
+        let batches: Vec<f64> = (0..BATCHES)
+            .map(|_| direct_drop_rate(&mut link, 10_000, &mut rng))
+            .collect();
+        let (mean, half) = ci99(&batches);
+        assert!(
+            (exact.p_drop - mean).abs() <= half,
+            "{cfg:?}: exact {} outside direct {mean} ± {half}",
+            exact.p_drop
+        );
+    }
 }
 
 #[test]
@@ -22,19 +109,7 @@ fn fast_path_drop_rate_matches_direct_simulation() {
 
     // ...then measure the drop rate directly on an independent stream.
     let mut link = AclLink::new(cfg, channel(), HopSequence::new(2));
-    let mut direct_rng = SimRng::seed_from(0xD1CE);
-    let mut sent = 0u64;
-    let mut dropped = 0u64;
-    let target = 150_000u64;
-    while sent < target {
-        let out = link.send_payloads(64.min(target - sent), &mut direct_rng);
-        sent += out.payloads_delivered;
-        if out.dropped_at.is_some() {
-            dropped += 1;
-            sent += 1;
-        }
-    }
-    let direct = dropped as f64 / sent as f64;
+    let direct = direct_drop_rate(&mut link, 150_000, &mut SimRng::seed_from(0xD1CE));
     assert!(
         direct > 0.0 && profile.p_drop > 0.0,
         "degenerate rates: direct {direct}, profile {}",

@@ -5,8 +5,10 @@
 //! * `campaign` — run one campaign and print its headline numbers;
 //!   `--export PATH` writes the collected logs as a JSONL failure trace;
 //! * `analyze PATH` — import a trace and run merge-and-coalesce on it,
-//!   printing the error–failure relationship summary; `--lenient-import`
-//!   quarantines undecodable lines instead of aborting;
+//!   printing the error–failure relationship summary; `--topology`
+//!   (default `paper-both`) names the masters each node relates to;
+//!   `--lenient-import` quarantines undecodable lines instead of
+//!   aborting;
 //! * `table4` — the four-policy dependability comparison;
 //!   `--max-retries` / `--seed-timeout` run it under the fault-tolerant
 //!   supervisor and report coverage-widened confidence intervals;
@@ -104,6 +106,7 @@ USAGE:
                  [--topology paper-a|paper-b|paper-both|scatternet|FILE.json]
                  [--hours H] [--seed S] [--export PATH] [--metrics-out PATH] [--json]
   btpan analyze PATH [--window SECS] [--lenient-import] [--json]
+                [--topology paper-a|paper-b|paper-both|scatternet|FILE.json]
   btpan stream PATH [--window SECS] [--lag SECS] [--shards N] [--snapshot-every N]
                [--follow] [--poll-ms MS] [--idle-exit POLLS] [--idle-timeout-ms MS]
                [--checkpoint PATH] [--resume PATH] [--json]
@@ -387,7 +390,12 @@ impl QuarantineCounts {
 struct AnalyzeReport {
     records: usize,
     related_failures: u64,
+    /// Related failures whose dominant evidence is on a master's System
+    /// Log.
+    nap_related: u64,
     window_s: u64,
+    /// Name of the topology the trace was related under.
+    topology: String,
     quarantine: Option<QuarantineCounts>,
     rows: Vec<AnalyzeRow>,
 }
@@ -432,6 +440,10 @@ fn cmd_analyze(args: &[String]) -> Result<CliOutcome, CliError> {
         .filter(|a| !a.starts_with("--"))
         .ok_or_else(|| CliError::Usage("analyze needs a trace path".into()))?;
     let window = parse_u64(&args[1..], "--window", 330)?;
+    // Each node relates to the masters that can propagate to it; the
+    // default covers both paper testbeds, a superset of the
+    // single-testbed node ids.
+    let topology = parse_topology(args)?.unwrap_or_else(Topology::paper_both);
     let text = std::fs::read_to_string(path)?;
     let mut quarantine = None;
     let records = if has_flag(args, "--lenient-import") {
@@ -442,25 +454,22 @@ fn cmd_analyze(args: &[String]) -> Result<CliOutcome, CliError> {
         import_trace(&text).map_err(CliError::Trace)?
     };
     let repo = repository_from_records(&records);
-    let nap_records = repo.system_records_of(NAP_NODE_ID);
-    let streams: Vec<_> = repo
-        .reporting_nodes()
+    let m = experiment::repository_matrix(&repo, &topology, SimDuration::from_secs(window));
+    let nap_related: u64 = m
+        .cells()
         .into_iter()
-        .map(|n| (n, repo.records_of(n)))
-        .collect();
-    let m = RelationshipMatrix::from_node_logs(
-        &streams,
-        &nap_records,
-        NAP_NODE_ID,
-        SimDuration::from_secs(window),
-    );
+        .filter(|&(_, cause, _)| matches!(cause, Some((_, CauseSite::Nap))))
+        .map(|(_, _, n)| n)
+        .sum();
     let unhealthy = quarantine.as_ref().is_some_and(|r| !r.is_clean());
     let status = if unhealthy { EXIT_QUARANTINE } else { 0 };
     if has_flag(args, "--json") {
         let report = AnalyzeReport {
             records: records.len(),
             related_failures: m.grand_total(),
+            nap_related,
             window_s: window,
+            topology: topology.name.clone(),
             quarantine: quarantine.as_ref().map(QuarantineCounts::from_report),
             rows: matrix_rows(&m),
         };
@@ -470,9 +479,11 @@ fn cmd_analyze(args: &[String]) -> Result<CliOutcome, CliError> {
         });
     }
     let mut out = format!(
-        "{} records, {} related failures (window {window} s)\n",
+        "{} records, {} related failures, {nap_related} with NAP evidence \
+         (window {window} s, topology {})\n",
         records.len(),
-        m.grand_total()
+        m.grand_total(),
+        topology.name
     );
     if let Some(report) = quarantine.as_ref().filter(|r| !r.is_clean()) {
         out.push_str(&format!("quarantine: {report}\n"));
@@ -1348,6 +1359,75 @@ mod tests {
         };
         assert_eq!(health.get("status").and_then(Value::as_str), Some(expected));
         v.get("data").expect("data block").clone()
+    }
+
+    #[test]
+    fn analyze_relates_testbed_b_to_its_own_master() {
+        // A paper-both trace cut down to testbed B. Relating every node
+        // to master 0 alone found no NAP evidence for B at all; through
+        // the topology, B's failures meet master 100's System Log.
+        let path = std::env::temp_dir().join("btpan_cli_analyze_topology_test.jsonl");
+        let path_s = path.to_str().expect("utf8 temp path");
+        run(&args(&[
+            "campaign",
+            "--topology",
+            "paper-both",
+            "--hours",
+            "24",
+            "--seed",
+            "3",
+            "--export",
+            path_s,
+        ]))
+        .unwrap();
+        let testbed_b = Topology::paper_b();
+        assert_eq!(testbed_b.piconets[0].master_id(), 100);
+        let b_nodes: Vec<u64> = testbed_b.piconets[0]
+            .machines
+            .iter()
+            .map(|m| m.node_id)
+            .collect();
+        let records = import_trace(&std::fs::read_to_string(&path).unwrap()).unwrap();
+        let b_only: Vec<LogRecord> = records
+            .into_iter()
+            .filter(|r| b_nodes.contains(&r.node))
+            .collect();
+        assert!(
+            b_only.iter().any(|r| r.node == 100),
+            "master 100 logged nothing"
+        );
+        std::fs::write(&path, export_trace(&repository_from_records(&b_only))).unwrap();
+
+        let nap_related = |extra: &[&str]| {
+            let mut argv = vec!["analyze", path_s, "--json"];
+            argv.extend_from_slice(extra);
+            let outcome = run_cli(&args(&argv)).unwrap();
+            let data = envelope(&outcome.output, "analyze", outcome.status);
+            assert!(
+                data.get("related_failures")
+                    .and_then(Value::as_u64)
+                    .unwrap()
+                    > 0
+            );
+            let topology = data
+                .get("topology")
+                .and_then(Value::as_str)
+                .map(String::from);
+            let nap = data.get("nap_related").and_then(Value::as_u64).unwrap();
+            (topology.unwrap(), nap)
+        };
+        let (name, nap) = nap_related(&[]);
+        assert_eq!(name, "paper-both");
+        assert!(nap > 0, "no NAP evidence for testbed B");
+        assert_eq!(
+            nap_related(&["--topology", "paper-b"]),
+            ("paper-testbed-b".into(), nap)
+        );
+        // Under testbed A's topology B's nodes have no master to relate to.
+        assert_eq!(nap_related(&["--topology", "paper-a"]).1, 0);
+        let text = run(&args(&["analyze", path_s])).unwrap();
+        assert!(text.contains(&format!("{nap} with NAP evidence")), "{text}");
+        std::fs::remove_file(&path).ok();
     }
 
     #[test]

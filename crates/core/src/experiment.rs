@@ -15,7 +15,9 @@ use btpan_analysis::dependability::{
 };
 use btpan_analysis::distributions::{self, AgeHistogram, ShareTable};
 use btpan_analysis::ttf::TtfTtrSeries;
+use btpan_collect::entry::LogRecord;
 use btpan_collect::relate::RelationshipMatrix;
+use btpan_collect::repository::Repository;
 use btpan_collect::sensitivity::SensitivityCurve;
 use btpan_faults::UserFailure;
 use btpan_recovery::RecoveryPolicy;
@@ -77,16 +79,26 @@ pub fn relationship_matrix(
     topology: &Topology,
     window: SimDuration,
 ) -> RelationshipMatrix {
-    let master_systems: Vec<(u64, Vec<btpan_collect::entry::LogRecord>)> = result
+    repository_matrix(&result.repository, topology, window)
+}
+
+/// [`relationship_matrix`] over any repository of collected records,
+/// e.g. one rebuilt from an imported trace: `topology` names which
+/// masters each reporting node relates to.
+pub fn repository_matrix(
+    repository: &Repository,
+    topology: &Topology,
+    window: SimDuration,
+) -> RelationshipMatrix {
+    let master_systems: Vec<(u64, Vec<LogRecord>)> = topology
         .piconets
         .iter()
-        .map(|p| (p.master, result.repository.system_records_of(p.master)))
+        .map(|p| (p.master_id(), repository.system_records_of(p.master_id())))
         .collect();
-    let node_streams: Vec<(u64, Vec<u64>, Vec<btpan_collect::entry::LogRecord>)> = result
-        .repository
+    let node_streams: Vec<(u64, Vec<u64>, Vec<LogRecord>)> = repository
         .reporting_nodes()
         .into_iter()
-        .map(|n| (n, topology.masters_of(n), result.repository.records_of(n)))
+        .map(|n| (n, topology.masters_of(n), repository.records_of(n)))
         .collect();
     RelationshipMatrix::from_node_logs_multi(&node_streams, &master_systems, window)
 }
